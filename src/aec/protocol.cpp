@@ -36,12 +36,6 @@ AecProtocol::AecProtocol(dsm::Machine& m, ProcId self, std::shared_ptr<AecShared
     sh_->nodes.resize(static_cast<std::size_t>(m.nprocs()), nullptr);
   }
   sh_->nodes[static_cast<std::size_t>(self)] = this;
-  // Barrier arrivals to the manager are exclusive events (the completing one
-  // rewrites every lock manager's records). Under faults, held out-of-order
-  // arrivals are released by whatever reliable carrier fills the channel
-  // gap, so every such carrier must run solo as well — registered up front,
-  // before any message is in flight.
-  m.transport().mark_exclusive_dst(m.barrier_manager());
   dsm::init_round_robin_validity(m, self);
 }
 
@@ -670,10 +664,9 @@ void AecProtocol::release(LockId l) {
   // lock to it directly — one point-to-point message carrying the release
   // page list plus the grant payload (the successor reads the holder map
   // from the shared record; the bytes model the grant delta it would have
-  // received from the manager). Runs as an exclusive event because the
-  // successor performs the manager-record bookkeeping on its own node.
-  // Disabled under a crash schedule: handoffs then stay on the manager path
-  // the failover chain replays.
+  // received from the manager). The successor performs the manager-record
+  // bookkeeping on its own node. Disabled under a crash schedule: handoffs
+  // then stay on the manager path the failover chain replays.
   if (sh_->strategy == aecdsm::locks::Strategy::kMcs && !crash_scheduled()) {
     if (auto lit = ll.mcs_links.find(ll.grant_counter); lit != ll.mcs_links.end()) {
       const ProcId succ = lit->second;
@@ -683,7 +676,7 @@ void AecProtocol::release(LockId l) {
                     [this, l, p = self_, pages, ep = episode_, succ] {
                       peer(succ).recv_direct_handoff(l, p, pages, ep);
                     },
-                    sim::Bucket::kSynch, /*exclusive=*/true);
+                    sim::Bucket::kSynch);
       auto sit = std::find(cs_stack_.rbegin(), cs_stack_.rend(), l);
       AECDSM_CHECK(sit != cs_stack_.rend());
       cs_stack_.erase(std::next(sit).base());
@@ -835,9 +828,8 @@ void AecProtocol::recv_direct_handoff(LockId l, ProcId releaser,
     return;
   }
 
-  // The manager-release half of mgr_handle_release, performed here — this
-  // runs as an exclusive event, so mutating the manager's shard from the
-  // successor's node is safe.
+  // The manager-release half of mgr_handle_release, performed here on the
+  // successor's node.
   if (episode >= rec.epoch) {
     rec.last_releaser = releaser;
     rec.last_release_counter = rec.counter;
@@ -887,8 +879,7 @@ void AecProtocol::mgr_handle_request(LockId l, ProcId requester,
   const ProcId mgr = m_.lock_manager(l);
   if (mgr != mgr_at) {
     // A failover re-elected the manager after this message left: forward
-    // one hop. The record now lives in the new manager's shard, which only
-    // that node's worker may touch.
+    // one hop. The record now lives in the new manager's shard.
     m_.post(mgr_at, mgr, kCtl, m_.params().list_processing_per_elem,
             [this, l, requester, serial, mgr] {
               mgr_handle_request(l, requester, serial, mgr);
@@ -1150,14 +1141,12 @@ void AecProtocol::barrier() {
   const Cycles arrival_svc =
       params.list_processing_per_elem * (lock_info_elems + outside.size() + 2);
   // The last arrival's handler runs the barrier computation, which resets
-  // lock records owned by every manager node — under the parallel engine it
-  // must execute alone (Engine::schedule_exclusive). The sender cannot know
-  // which arrival is last, so every arrival is posted exclusive.
+  // lock records owned by every manager node.
   send_from_app(m_.barrier_manager(), arrival_bytes, arrival_svc,
                 [this, p = self_, lock_info, outside, vmap] {
                   mgr_handle_barrier_arrival(p, lock_info, outside, vmap);
                 },
-                sim::Bucket::kSynch, /*exclusive=*/true);
+                sim::Bucket::kSynch);
 
   // Overlap the wait with eager outside-diff creation, filtered to pages
   // other processors hold and that have seen at least one request (§3.3).
@@ -1575,8 +1564,7 @@ void AecProtocol::mgr_barrier_compute() {
   // Chain reset: barrier-consistent memory starts every lock afresh. The
   // epoch stamp lets the lock manager ignore chain data in release messages
   // that were still in flight when this barrier completed. This writes every
-  // manager's shard, which is why the completing arrival runs exclusively
-  // under the parallel engine.
+  // manager's shard.
   for (auto& shard : sh_->locks) {
     for (auto& [l, rec] : shard) {
       rec.diff_holder.clear();

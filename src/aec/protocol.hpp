@@ -220,9 +220,9 @@ class AecProtocol : public policy::PolicyEngine {
   /// queue successor is, so its release can hand the lock over directly.
   void recv_mcs_link(LockId l, std::uint32_t pred_counter, ProcId succ);
   /// mcs: direct lock handoff from the releaser, bypassing the manager.
-  /// Runs as an exclusive event (it performs the manager-record bookkeeping
-  /// on the successor's node); self-validates against the shared record and
-  /// falls back to forwarding a plain release to the manager on mismatch.
+  /// Performs the manager-record bookkeeping on the successor's node;
+  /// self-validates against the shared record and falls back to forwarding
+  /// a plain release to the manager on mismatch.
   void recv_direct_handoff(LockId l, ProcId releaser, std::vector<PageId> pages,
                            std::uint32_t episode);
   void recv_barrier_diff(PageId pg, mem::Diff d);
@@ -243,10 +243,9 @@ class AecProtocol : public policy::PolicyEngine {
   //
   // Each handler carries `mgr_at`, the node the message was addressed to.
   // After a crash failover the current manager may differ: the handler then
-  // forwards one hop instead of touching the record, because under the
-  // parallel engine a shard may only be mutated by the worker of the node
-  // it belongs to. `serial` is the crash-failover dedup serial (0 when no
-  // crash schedule exists).
+  // forwards one hop instead of touching the record, so a record is only
+  // ever mutated at its current manager. `serial` is the crash-failover
+  // dedup serial (0 when no crash schedule exists).
   void mgr_handle_request(LockId l, ProcId requester, std::uint64_t serial,
                           ProcId mgr_at);
   void mgr_handle_release(LockId l, ProcId releaser, std::vector<PageId> pages,

@@ -10,11 +10,11 @@
 #include <memory>
 #include <vector>
 
-#include "aec/lap.hpp"
 #include "common/params.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "locks/strategy.hpp"
+#include "policy/lap.hpp"
 #include "policy/policy.hpp"
 
 namespace aecdsm::aec {
@@ -35,7 +35,7 @@ struct LockRecord {
   std::uint32_t last_release_counter = 0;
   std::uint32_t epoch = 0;         ///< barrier episode of the last chain reset
 
-  LockLap lap;
+  policy::LockLap lap;
 
   /// U_l(p) as computed at p's last grant (shipped in the grant reply; the
   /// releaser pushes its merged diffs to this set).
@@ -113,17 +113,15 @@ struct AecShared {
   std::vector<AecProtocol*> nodes;
 
   /// Lock records, sharded by manager node (lock % nprocs). Every handler
-  /// that touches a lock's record runs as a service on its manager, so under
-  /// the parallel engine each shard — including its lazy insertions — is
-  /// only ever mutated by that node's worker. (The cross-shard exception,
-  /// the barrier completion's chain reset, runs as an exclusive event.)
+  /// that touches a lock's record runs as a service on its manager. (The
+  /// cross-shard exceptions are the barrier completion's chain reset and
+  /// the mcs direct handoff.)
   std::vector<std::map<LockId, LockRecord>> locks;
 
   /// Strategy counters, sharded like the lock records: manager-side paths
-  /// update the manager node's slot (that node's worker), the mcs direct
-  /// handoff — an exclusive event — updates the handler node's slot.
-  /// run_app sums the shards. Empty of any nonzero value unless
-  /// collect_lock_stats().
+  /// update the manager node's slot, the mcs direct handoff updates the
+  /// handler node's slot. run_app sums the shards. Empty of any nonzero
+  /// value unless collect_lock_stats().
   std::vector<LockMgrStats> lockstats;
 
   BarrierEpisode barrier;
@@ -138,8 +136,7 @@ struct AecShared {
 
   /// Record lookup by current manager: after a crash failover the record
   /// lives in the re-elected manager's shard, not the static `l % nprocs`
-  /// one. Handlers pass Machine::lock_manager(l) so each shard — including
-  /// its lazy insertions — is still only touched by its own node's worker.
+  /// one. Handlers pass Machine::lock_manager(l).
   LockRecord& lock(LockId l, ProcId mgr) {
     std::map<LockId, LockRecord>& shard = locks[static_cast<std::size_t>(mgr)];
     auto it = shard.find(l);
@@ -163,7 +160,7 @@ struct AecShared {
 
   /// Crash failover: move lock `l`'s record between manager shards. Custody
   /// (affinity history, diff holders, owner) survives the fail-stop window
-  /// because the storage is shared host memory. Exclusive-event only.
+  /// because the storage is shared host memory.
   void migrate_lock(LockId l, ProcId from, ProcId to) {
     auto node = locks[static_cast<std::size_t>(from)].extract(l);
     if (!node.empty()) locks[static_cast<std::size_t>(to)].insert(std::move(node));

@@ -57,19 +57,6 @@ void Machine::post(ProcId from, ProcId to, std::size_t bytes, Cycles service_cos
                   });
 }
 
-void Machine::post_exclusive(ProcId from, ProcId to, std::size_t bytes,
-                             Cycles service_cost, std::function<void()> handler) {
-  // The delivery wrapper itself runs solo (transport flag), so re-arming the
-  // handler through schedule_exclusive happens from a serial context.
-  transport_.send(
-      from, to, bytes,
-      [this, to, service_cost, h = std::move(handler)]() mutable {
-        const Cycles done = node(to).proc->service(service_cost);
-        engine_.schedule_exclusive(done, std::move(h));
-      },
-      /*exclusive=*/true);
-}
-
 void Machine::post_best_effort(ProcId from, ProcId to, std::size_t bytes,
                                Cycles service_cost, std::function<void()> handler) {
   // The handler is copied, not moved, into the engine: a duplicated copy

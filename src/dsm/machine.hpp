@@ -79,15 +79,6 @@ class Machine {
   void post(ProcId from, ProcId to, std::size_t bytes, Cycles service_cost,
             std::function<void()> handler);
 
-  /// Like post(), but the delivery and the serviced handler both run as
-  /// exclusive events under the parallel engine (Engine::schedule_exclusive):
-  /// protocol handlers that mutate state owned by other nodes — e.g. a
-  /// barrier completion resetting every lock manager's records — must see
-  /// no event anywhere in the machine executing past them. Identical to
-  /// post() under the sequential engine.
-  void post_exclusive(ProcId from, ProcId to, std::size_t bytes,
-                      Cycles service_cost, std::function<void()> handler);
-
   /// Like post(), but best-effort: under fault injection the message may be
   /// dropped, duplicated, delayed or reordered, and is neither acknowledged
   /// nor retransmitted. Used for AEC's LAP update pushes, which the protocol
@@ -105,9 +96,7 @@ class Machine {
     return static_cast<ProcId>(lock % static_cast<LockId>(params_.num_procs));
   }
 
-  /// Re-point a lock's manager after failover. May only be called from an
-  /// exclusive event (the table is read concurrently by every node under
-  /// the parallel engine; mutations must run solo).
+  /// Re-point a lock's manager after failover.
   void set_lock_manager_override(LockId lock, ProcId mgr) {
     mgr_override_[lock] = mgr;
   }
@@ -125,10 +114,8 @@ class Machine {
   trace::Recorder* recorder() const { return recorder_; }
 
   // --- Run-wide synchronization accounting (fed by Context) ----------------
-  // Sharded per acquiring node so parallel engine workers never share a
-  // counter; the getters aggregate. Barrier episodes are counted by node 0
-  // only (and read cross-node only by the recorder, which forces the
-  // sequential engine), so a single counter stays race-free.
+  // Sharded per acquiring node; the getters aggregate. Barrier episodes are
+  // counted by node 0 only.
   void note_lock_acquire(ProcId self, LockId lock) {
     sync_shards_[static_cast<std::size_t>(self)].seen.insert(lock);
     ++sync_shards_[static_cast<std::size_t>(self)].acquires;

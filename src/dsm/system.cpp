@@ -21,16 +21,6 @@ void init_round_robin_validity(Machine& m, ProcId self) {
 RunStats run_app(App& app, const ProtocolSuite& suite, const RunConfig& config) {
   Machine m(config.params, app.shared_bytes());
   if (config.recorder != nullptr) m.set_recorder(config.recorder);
-  if (config.engine_threads > 1 && config.recorder == nullptr) {
-    net::MeshNetwork& mesh = m.network();
-    m.engine().enable_parallel(
-        config.engine_threads, config.params.num_procs,
-        mesh.min_cross_latency(),
-        [&mesh](int src, int dst, std::size_t bytes, Cycles t_send) {
-          return mesh.resolve_send(src, dst, bytes, t_send);
-        },
-        [&mesh](std::size_t bytes) { mesh.note_local_send(bytes); });
-  }
   app.setup(m);
 
   for (int p = 0; p < m.nprocs(); ++p) {
@@ -58,7 +48,7 @@ RunStats run_app(App& app, const ProtocolSuite& suite, const RunConfig& config) 
     // its NIC and were cancelled by the sender's suspect verdict).
     for (const FaultWindow& w : config.params.faults.crashes) {
       if (w.node == kNoProc || w.cycles == 0) continue;
-      m.engine().schedule_for(w.node, w.end(), [&m, node = w.node] {
+      m.engine().schedule(w.end(), [&m, node = w.node] {
         m.node(node).protocol->on_recover();
       });
     }

@@ -247,10 +247,10 @@ void ErcProtocol::release(LockId l) {
 
   // mcs: when the manager linked a successor behind this tenure, hand the
   // lock to it directly — one point-to-point message instead of the
-  // release/grant pair through the manager. Runs as an exclusive event
-  // because the successor performs the manager-record bookkeeping on its
-  // own node. Disabled under a crash schedule: handoffs then stay on the
-  // manager path the failover chain replays.
+  // release/grant pair through the manager. The successor performs the
+  // manager-record bookkeeping on its own node. Disabled under a crash
+  // schedule: handoffs then stay on the manager path the failover chain
+  // replays.
   if (sh_->strategy == aecdsm::locks::Strategy::kMcs && !crash_scheduled()) {
     auto& links = mcs_links_[l];
     if (auto lit = links.find(grant_counter_[l]); lit != links.end()) {
@@ -260,7 +260,7 @@ void ErcProtocol::release(LockId l) {
                     [this, l, p = self_, succ] {
                       peer(succ).recv_direct_handoff(l, p);
                     },
-                    sim::Bucket::kSynch, /*exclusive=*/true);
+                    sim::Bucket::kSynch);
       return;
     }
   }
@@ -325,9 +325,8 @@ void ErcProtocol::recv_direct_handoff(LockId l, ProcId releaser) {
             });
     return;
   }
-  // The manager's release + grant bookkeeping, performed here — this runs
-  // as an exclusive event, so mutating the manager's shard from the
-  // successor's node is safe.
+  // The manager's release + grant bookkeeping, performed here on the
+  // successor's node.
   rec.last_releaser = releaser;
   const ProcId to = lap.dequeue_waiter();
   AECDSM_CHECK(to == self_);
@@ -354,7 +353,7 @@ void ErcProtocol::mgr_handle_request(LockId l, ProcId requester,
   const ProcId mgr = m_.lock_manager(l);
   if (mgr != mgr_at) {
     // Re-elected manager: forward one hop (the record's shard belongs to
-    // the new manager's worker).
+    // the new manager).
     m_.post(mgr_at, mgr, kCtl, m_.params().list_processing_per_elem,
             [this, l, requester, serial, mgr] {
               mgr_handle_request(l, requester, serial, mgr);

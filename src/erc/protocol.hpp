@@ -89,9 +89,7 @@ struct ErcShared {
     std::map<ProcId, std::uint64_t> released_serial;
   };
   /// Lock records and LAP instances, sharded by manager node (lock %
-  /// nprocs): ERC's lock handling is fully centralized at the manager, so
-  /// each shard — including lazy insertion — is only ever touched by that
-  /// node's worker under the parallel engine.
+  /// nprocs): ERC's lock handling is fully centralized at the manager.
   std::vector<std::map<LockId, LockRecord>> locks;
 
   /// Copyset per page (bit p = processor p caches the page). DynBitset: no
@@ -99,8 +97,8 @@ struct ErcShared {
   std::vector<DynBitset> copyset;
 
   /// Strategy counters, sharded like the lock records: manager-side paths
-  /// update the manager node's slot, the mcs direct handoff (an exclusive
-  /// event) the handler node's slot. run_app sums the shards.
+  /// update the manager node's slot, the mcs direct handoff the handler
+  /// node's slot. run_app sums the shards.
   std::vector<LockMgrStats> lockstats;
 
   struct BarrierGather {
@@ -132,7 +130,7 @@ struct ErcShared {
   }
 
   /// Crash failover: move the record and LAP instance between manager
-  /// shards (exclusive-event only).
+  /// shards.
   void migrate_lock(LockId l, ProcId from, ProcId to) {
     auto rec = locks[static_cast<std::size_t>(from)].extract(l);
     if (!rec.empty()) locks[static_cast<std::size_t>(to)].insert(std::move(rec));
@@ -187,7 +185,7 @@ class ErcProtocol : public policy::PolicyEngine {
   // Lock manager handlers (services on the manager's node). `mgr_at` is the
   // node the message was addressed to: when a crash failover re-elected the
   // manager meanwhile, the handler forwards one hop instead of touching a
-  // shard another node's worker owns. `serial` is the crash-failover dedup
+  // shard another node owns. `serial` is the crash-failover dedup
   // serial (0 when no crash schedule exists).
   void mgr_handle_request(LockId l, ProcId requester, std::uint64_t serial,
                           ProcId mgr_at);
@@ -208,9 +206,9 @@ class ErcProtocol : public policy::PolicyEngine {
   /// queue successor is, so its release can hand the lock over directly.
   void recv_mcs_link(LockId l, std::uint32_t pred_counter, ProcId succ);
   /// mcs: direct lock handoff from the releaser, bypassing the manager.
-  /// Runs as an exclusive event (it performs the manager-record bookkeeping
-  /// on the successor's node); self-validates against the shared record and
-  /// falls back to forwarding a plain release to the manager on mismatch.
+  /// Performs the manager-record bookkeeping on the successor's node;
+  /// self-validates against the shared record and falls back to forwarding
+  /// a plain release to the manager on mismatch.
   void recv_direct_handoff(LockId l, ProcId releaser);
 
   void mgr_handle_barrier_arrival();

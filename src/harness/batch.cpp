@@ -61,9 +61,6 @@ namespace {
       "  --trace-dir D   record every cell and write per-cell trace files\n"
       "                  (<label>.trace.json + <label>.perfetto.json) into D\n"
       "                  (tracing bypasses the cell cache: every cell simulates)\n"
-      "  --engine-threads N  simulate each cell on N engine worker threads\n"
-      "                  (conservative parallel mode; byte-identical results,\n"
-      "                  same cache key — default 1, env AECDSM_ENGINE_THREADS)\n"
       "  --verify-cache  debug: re-simulate the first warm cache hit cold and\n"
       "                  fail unless the artifacts match byte for byte\n",
       argv0);
@@ -96,10 +93,6 @@ BatchOptions parse_batch_cli(int& argc, char** argv) {
   if (const char* env = std::getenv("AECDSM_MAX_MEM")) {
     const long mb = std::atol(env);
     if (mb > 0) opts.max_mem_mb = static_cast<std::size_t>(mb);
-  }
-  if (const char* env = std::getenv("AECDSM_ENGINE_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) opts.engine_threads = n;
   }
   int out = 1;
   for (int i = 1; i < argc; ++i) {
@@ -137,14 +130,6 @@ BatchOptions parse_batch_cli(int& argc, char** argv) {
       opts.trace_path = value;
     } else if (flag_value(argc, argv, i, "--trace-dir", value)) {
       opts.trace_dir = value;
-    } else if (flag_value(argc, argv, i, "--engine-threads", value)) {
-      opts.engine_threads = std::atoi(value.c_str());
-      if (opts.engine_threads <= 0) {
-        std::fprintf(stderr,
-                     "%s: --engine-threads wants a positive integer, got '%s'\n",
-                     argv[0], value.c_str());
-        std::exit(2);
-      }
     } else if (std::strcmp(argv[i], "--verify-cache") == 0) {
       opts.verify_cache = true;
     } else if (flag_value(argc, argv, i, "--cell-timeout", value)) {
@@ -304,7 +289,7 @@ void BatchRunner::verify_warm_hit(const ExperimentCell& cell,
                                   const ExperimentResult& warm) const {
   const ExperimentResult cold =
       run_experiment(cell.protocol, cell.app, cell.scale, cell.params, cell.seed,
-                     opts_.cell_timeout_sec, nullptr, opts_.engine_threads);
+                     opts_.cell_timeout_sec, nullptr);
   const std::string warm_doc =
       to_json(warm.stats).dump() + "\n" + lap_json(warm).dump();
   const std::string cold_doc =
@@ -399,8 +384,7 @@ std::vector<ExperimentResult> BatchRunner::run(const ExperimentPlan& plan) {
         try {
           results[i] = run_experiment(cell.protocol, cell.app, cell.scale,
                                       cell.params, cell.seed,
-                                      opts_.cell_timeout_sec, rec,
-                                      opts_.engine_threads);
+                                      opts_.cell_timeout_sec, rec);
           if (rec != nullptr) {
             results[i].stats.overlap =
                 trace::to_overlap_stats(trace::analyze_overlap(*rec));
@@ -415,11 +399,10 @@ std::vector<ExperimentResult> BatchRunner::run(const ExperimentPlan& plan) {
                   : 0;
           if (eps > 0) {
             std::fprintf(stderr,
-                         "[telemetry] %s: %llu events in %.3fs — %llu events/s "
-                         "(engine threads=%d)\n",
+                         "[telemetry] %s: %llu events in %.3fs — %llu events/s\n",
                          cell.label.c_str(), static_cast<unsigned long long>(events),
                          static_cast<double>(micros) / 1e6,
-                         static_cast<unsigned long long>(eps), opts_.engine_threads);
+                         static_cast<unsigned long long>(eps));
           }
           {
             std::lock_guard<std::mutex> lk(telemetry_mu);
@@ -467,13 +450,12 @@ std::vector<ExperimentResult> BatchRunner::run(const ExperimentPlan& plan) {
   if (info_.engine_events > 0 && info_.sim_wall_us > 0) {
     std::fprintf(stderr,
                  "[telemetry] %s: %llu engine events in %.3fs — %llu events/s "
-                 "aggregate (engine threads=%d)\n",
+                 "aggregate\n",
                  plan.name.c_str(),
                  static_cast<unsigned long long>(info_.engine_events),
                  static_cast<double>(info_.sim_wall_us) / 1e6,
                  static_cast<unsigned long long>(info_.engine_events * 1000000u /
-                                                 info_.sim_wall_us),
-                 opts_.engine_threads);
+                                                 info_.sim_wall_us));
   }
   if (cache != nullptr) {
     std::fprintf(stderr, "[cache] %s: hits=%zu simulated=%zu skipped=%zu dir=%s\n",

@@ -77,10 +77,6 @@ struct BatchOptions {
   /// Write per-cell trace files (<label>.trace.json in the aecdsm-trace-v1
   /// schema plus <label>.perfetto.json) into this directory. "" = off.
   std::string trace_dir;
-  /// Engine worker threads per cell (>1 = the conservative parallel engine;
-  /// results are byte-identical to sequential for any value, so the cell
-  /// cache key deliberately does not include this).
-  int engine_threads = 1;
   /// Debug: after serving cache hits, re-simulate the first warm hit cold
   /// and fail the batch (SimError) unless the artifacts match byte for
   /// byte. Guards the cache against key collisions and stale blobs.
@@ -190,9 +186,8 @@ class BatchRunner {
   int jobs() const { return jobs_; }
 
  private:
-  /// --verify-cache: re-simulate `cell` cold (same engine-thread setting)
-  /// and throw SimError unless its serialized stats and LAP scores match
-  /// the warm result byte for byte.
+  /// --verify-cache: re-simulate `cell` cold and throw SimError unless its
+  /// serialized stats and LAP scores match the warm result byte for byte.
   void verify_warm_hit(const ExperimentCell& cell,
                        const ExperimentResult& warm) const;
 

@@ -225,7 +225,7 @@ Value to_json(const SystemParams& p) {
 
 namespace {
 
-Value score_json(const aec::PredictorScore& s) {
+Value score_json(const policy::PredictorScore& s) {
   Value v = Value::object();
   v["predictions"] = Value(s.predictions);
   v["hits"] = Value(s.hits);
@@ -239,7 +239,7 @@ Value lap_json(const ExperimentResult& r) {
   const auto scores = lap_scores_of(r);
   if (scores.empty()) return Value();
   Value v = Value::object();
-  aec::LapScores total;
+  policy::LapScores total;
   Value locks = Value::array();
   for (const auto& [lock, s] : scores) {
     Value row = Value::object();
@@ -251,7 +251,7 @@ Value lap_json(const ExperimentResult& r) {
     row["waitq_virtualq"] = score_json(s.waitq_virtualq);
     locks.append(std::move(row));
     total.acquire_events += s.acquire_events;
-    auto add = [](aec::PredictorScore& into, const aec::PredictorScore& from) {
+    auto add = [](policy::PredictorScore& into, const policy::PredictorScore& from) {
       into.predictions += from.predictions;
       into.hits += from.hits;
     };
@@ -284,8 +284,8 @@ TimeBreakdown breakdown_from_json(const Value& v) {
   return t;
 }
 
-aec::PredictorScore score_from_json(const Value& v) {
-  aec::PredictorScore s;
+policy::PredictorScore score_from_json(const Value& v) {
+  policy::PredictorScore s;
   s.predictions = v.at("predictions").as_uint();
   s.hits = v.at("hits").as_uint();
   return s;
@@ -383,11 +383,11 @@ RunStats run_stats_from_json(const Value& v) {
   return r;
 }
 
-std::map<LockId, aec::LapScores> lap_scores_from_json(const Value& v) {
-  std::map<LockId, aec::LapScores> out;
+std::map<LockId, policy::LapScores> lap_scores_from_json(const Value& v) {
+  std::map<LockId, policy::LapScores> out;
   if (v.kind() == Value::Kind::kNull) return out;
   for (const Value& row : v.at("locks").items()) {
-    aec::LapScores s;
+    policy::LapScores s;
     s.acquire_events = row.at("acquires").as_uint();
     s.lap = score_from_json(row.at("lap"));
     s.waitq = score_from_json(row.at("waitq"));

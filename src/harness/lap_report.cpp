@@ -2,8 +2,8 @@
 
 namespace aecdsm::harness {
 
-std::map<LockId, aec::LapScores> lap_scores_of(const ExperimentResult& r) {
-  std::map<LockId, aec::LapScores> out;
+std::map<LockId, policy::LapScores> lap_scores_of(const ExperimentResult& r) {
+  std::map<LockId, policy::LapScores> out;
   if (r.aec != nullptr) {
     // Manager shards partition the lock id space; `out` re-sorts globally.
     for (const auto& shard : r.aec->locks) {
@@ -23,7 +23,7 @@ std::map<LockId, aec::LapScores> lap_scores_of(const ExperimentResult& r) {
   return out;
 }
 
-std::vector<LapRow> lap_rows(const std::map<LockId, aec::LapScores>& scores,
+std::vector<LapRow> lap_rows(const std::map<LockId, policy::LapScores>& scores,
                              const std::vector<apps::LockGroup>& groups) {
   std::uint64_t total_events = 0;
   for (const auto& [l, s] : scores) total_events += s.acquire_events;
@@ -35,7 +35,7 @@ std::vector<LapRow> lap_rows(const std::map<LockId, aec::LapScores>& scores,
     for (const auto& [l, s] : scores) {
       if (l < g.lo || l > g.hi) continue;
       row.lock_events += s.acquire_events;
-      auto add = [](aec::PredictorScore& into, const aec::PredictorScore& from) {
+      auto add = [](policy::PredictorScore& into, const policy::PredictorScore& from) {
         into.predictions += from.predictions;
         into.hits += from.hits;
       };
@@ -54,8 +54,8 @@ std::vector<LapRow> lap_rows(const std::map<LockId, aec::LapScores>& scores,
   return rows;
 }
 
-aec::PredictorScore total_lap_score(const ExperimentResult& r) {
-  aec::PredictorScore total;
+policy::PredictorScore total_lap_score(const ExperimentResult& r) {
+  policy::PredictorScore total;
   for (const auto& [l, s] : lap_scores_of(r)) {
     total.predictions += s.lap.predictions;
     total.hits += s.lap.hits;

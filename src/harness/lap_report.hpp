@@ -14,15 +14,15 @@ namespace aecdsm::harness {
 
 /// Per-lock LAP scores of a finished run (works for AEC and the
 /// scoring-only TreadMarks instances alike).
-std::map<LockId, aec::LapScores> lap_scores_of(const ExperimentResult& r);
+std::map<LockId, policy::LapScores> lap_scores_of(const ExperimentResult& r);
 
 /// Aggregate per-lock scores into the paper's variable groups, producing
 /// Table 3 rows (group totals are event-weighted, like the paper).
-std::vector<LapRow> lap_rows(const std::map<LockId, aec::LapScores>& scores,
+std::vector<LapRow> lap_rows(const std::map<LockId, policy::LapScores>& scores,
                              const std::vector<apps::LockGroup>& groups);
 
 /// Event-weighted total of the full-LAP predictor across every lock of a
 /// run — the single success-rate number the sweep benches report.
-aec::PredictorScore total_lap_score(const ExperimentResult& r);
+policy::PredictorScore total_lap_score(const ExperimentResult& r);
 
 }  // namespace aecdsm::harness

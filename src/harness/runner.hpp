@@ -30,7 +30,7 @@ struct ExperimentResult {
   /// Per-lock LAP scores, materialized at the end of the run (or rebuilt
   /// from the cell cache). Everything a bench report needs beyond RunStats
   /// lives here, so a cache hit is indistinguishable from a fresh run.
-  std::map<LockId, aec::LapScores> lap_scores;
+  std::map<LockId, policy::LapScores> lap_scores;
   /// True when this result was served from the cell cache instead of being
   /// simulated; the protocol handles below are then null.
   bool from_cache = false;
@@ -49,15 +49,11 @@ struct ExperimentResult {
 /// A positive `wall_timeout_sec` aborts the simulation with TimeoutError
 /// once that much host time has elapsed. A non-null `recorder` captures the
 /// run's event timeline (trace/recorder.hpp) without perturbing it.
-/// `engine_threads` > 1 runs the simulation on the engine's conservative
-/// parallel mode; results are byte-identical to sequential for any value
-/// (traced runs stay sequential).
 ExperimentResult run_experiment(const std::string& protocol, const std::string& app,
                                 apps::Scale scale, const SystemParams& params,
                                 std::uint64_t seed = 42,
                                 double wall_timeout_sec = 0.0,
-                                trace::Recorder* recorder = nullptr,
-                                int engine_threads = 1);
+                                trace::Recorder* recorder = nullptr);
 
 /// The paper's simulated testbed: Table 1 defaults, 16 processors.
 SystemParams paper_params();

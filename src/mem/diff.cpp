@@ -11,10 +11,10 @@ namespace aecdsm::mem {
 namespace wordpool {
 namespace {
 
-/// Thread-local free list. Function-local so each engine worker thread gets
-/// its own on first use and tears it down at thread exit; no Diff outlives
-/// its thread's pool (protocol state is released on the main thread before
-/// exit, and worker threads destroy no diffs after their run() returns).
+/// Thread-local free list. Function-local so each host thread that runs
+/// cells gets its own on first use and tears it down at thread exit; no Diff
+/// outlives its thread's pool (a cell is built, run and destroyed on one
+/// thread, and its cothreads are fibers on that same thread).
 struct Pool {
   std::vector<std::vector<Word>> free;
 };

@@ -7,10 +7,10 @@
 // (every release, every served fetch), so the storage behind each run is
 // recycled through a thread-local buffer pool: a destroyed diff donates its
 // word vectors back, and create/merge/copy draw capacity from the pool
-// instead of malloc. Each engine worker thread (and the sequential engine's
-// one thread) owns its pool, so no synchronization is needed, and recycled
-// capacity never crosses threads in a racy way — the vectors themselves use
-// the global allocator, the pool merely keeps them alive.
+// instead of malloc. Each host thread owns its pool, and a cell's engine
+// and cothreads all run on one thread, so no synchronization is needed, and
+// recycled capacity never crosses threads in a racy way — the vectors
+// themselves use the global allocator, the pool merely keeps them alive.
 #pragma once
 
 #include <cstddef>

@@ -56,8 +56,7 @@ class PageStore {
   /// Snapshot the current contents as the page's twin. Twin buffers are
   /// recycled through a per-store free list: the twin/diff discipline
   /// allocates and drops one page-sized buffer per write epoch, and the
-  /// store is strictly node-local, so the list needs no synchronization
-  /// under the parallel engine.
+  /// store is strictly node-local, so the list needs no synchronization.
   void make_twin(PageId page) {
     PageFrame& f = frame(page);
     if (!twin_pool_.empty()) {

@@ -27,30 +27,7 @@ class MeshNetwork {
   /// processor — this method models NIC injection, the wire, and ejection.
   ///
   /// A message to self bypasses the mesh and delivers immediately.
-  ///
-  /// While the engine is in parallel-running mode, cross-node sends are
-  /// captured (Engine::capture_mesh_send) instead of routed; the engine's
-  /// replay calls resolve_send in sequential event order, so link/NIC
-  /// contention and MsgStats evolve exactly as in a sequential run.
-  ///
-  /// `exclusive` marks the delivery as an exclusive event under the parallel
-  /// engine (it runs alone at quiescence — see Engine::schedule_exclusive);
-  /// the sequential engine ignores the flag entirely.
-  void send(ProcId src, ProcId dst, std::size_t bytes, sim::Engine::EventFn deliver,
-            bool exclusive = false);
-
-  /// Route one captured cross-node send issued at `t_send`: commits its
-  /// statistics, occupies NIC and links, and returns the delivery time.
-  /// Called serially by the parallel engine's replay.
-  Cycles resolve_send(ProcId src, ProcId dst, std::size_t bytes, Cycles t_send);
-
-  /// Commit the statistics of one captured node-local send (replay).
-  void note_local_send(std::size_t bytes);
-
-  /// Lower bound on the send-to-delivery latency of any cross-node message,
-  /// independent of size, distance and contention — the parallel engine's
-  /// lookahead horizon.
-  Cycles min_cross_latency() const;
+  void send(ProcId src, ProcId dst, std::size_t bytes, sim::Engine::EventFn deliver);
 
   /// Number of mesh hops between two nodes under XY routing (tests).
   int hop_count(ProcId src, ProcId dst) const;

@@ -29,7 +29,6 @@ Transport::Transport(sim::Engine& engine, MeshNetwork& mesh,
   // Protocols count push_timeouts/push_fallbacks even with faults disabled.
   stats_.resize(static_cast<std::size_t>(nprocs_));
   rstats_.resize(static_cast<std::size_t>(nprocs_));
-  excl_dst_.assign(static_cast<std::size_t>(nprocs_), 0);
   if (plane_.enabled()) {
     const std::size_t channels = static_cast<std::size_t>(nprocs_) *
                                  static_cast<std::size_t>(nprocs_);
@@ -52,13 +51,8 @@ RecoveryStats Transport::recovery() const {
   return total;
 }
 
-void Transport::mark_exclusive_dst(ProcId dst) {
-  AECDSM_CHECK(dst >= 0 && dst < nprocs_);
-  excl_dst_[static_cast<std::size_t>(dst)] = 1;
-}
-
 void Transport::inject_copy(ProcId src, ProcId dst, std::size_t bytes,
-                            bool exclusive, sim::Engine::EventFn fn) {
+                            sim::Engine::EventFn fn) {
   const FaultPlane::Decision d = plane_.decide(src, dst);
   TransportStats& st = stats_for(src);
   if (d.delayed) ++st.delays_injected;
@@ -67,15 +61,13 @@ void Transport::inject_copy(ProcId src, ProcId dst, std::size_t bytes,
     ++st.drops_injected;
     return;
   }
-  auto emit = [this, src, dst, bytes,
-               exclusive](Cycles extra, sim::Engine::EventFn deliver) {
+  auto emit = [this, src, dst, bytes](Cycles extra, sim::Engine::EventFn deliver) {
     if (extra == 0) {
-      mesh_.send(src, dst, bytes, std::move(deliver), exclusive);
+      mesh_.send(src, dst, bytes, std::move(deliver));
     } else {
       engine_.schedule(engine_.now() + extra,
-                       [this, src, dst, bytes, exclusive,
-                        h = std::move(deliver)]() mutable {
-                         mesh_.send(src, dst, bytes, std::move(h), exclusive);
+                       [this, src, dst, bytes, h = std::move(deliver)]() mutable {
+                         mesh_.send(src, dst, bytes, std::move(h));
                        });
     }
   };
@@ -89,19 +81,16 @@ void Transport::inject_copy(ProcId src, ProcId dst, std::size_t bytes,
 }
 
 void Transport::send(ProcId src, ProcId dst, std::size_t bytes,
-                     sim::Engine::EventFn deliver, bool exclusive) {
+                     sim::Engine::EventFn deliver) {
   if (recorder_ != nullptr) {
     recorder_->instant(src, trace::Category::kNet, trace::names::kNetSend,
                        engine_.now(), "dst", static_cast<std::uint64_t>(dst),
                        "bytes", bytes);
   }
   if (!plane_.enabled() || src == dst) {
-    mesh_.send(src, dst, bytes, std::move(deliver), exclusive);
+    mesh_.send(src, dst, bytes, std::move(deliver));
     return;
   }
-  // Under faults, a registered destination widens exclusivity to every
-  // reliable carrier headed its way (see mark_exclusive_dst).
-  const bool excl = exclusive || excl_dst_[static_cast<std::size_t>(dst)] != 0;
   ++stats_for(src).data_sends;
   const std::size_t ch = channel(src, dst);
   const std::uint32_t seq = send_ch_[ch].next_seq++;
@@ -113,13 +102,11 @@ void Transport::send(ProcId src, ProcId dst, std::size_t bytes,
   p.dst = dst;
   p.bytes = bytes;
   p.seq = seq;
-  p.exclusive = excl;
   p.deliver = fn;
   pending_shard(key).emplace(key, std::move(p));
 
-  inject_copy(src, dst, bytes, excl, [this, src, dst, seq, excl, fn] {
-    on_data_arrival(src, dst, seq, excl, fn);
-  });
+  inject_copy(src, dst, bytes,
+              [this, src, dst, seq, fn] { on_data_arrival(src, dst, seq, fn); });
   arm_timer(key, 0);
 }
 
@@ -163,11 +150,9 @@ void Transport::timer_fire(std::uint64_t key, int attempt) {
   const ProcId src = p.src;
   const ProcId dst = p.dst;
   const std::uint32_t seq = p.seq;
-  const bool excl = p.exclusive;
   auto fn = p.deliver;
-  inject_copy(src, dst, p.bytes, excl, [this, src, dst, seq, excl, fn] {
-    on_data_arrival(src, dst, seq, excl, fn);
-  });
+  inject_copy(src, dst, p.bytes,
+              [this, src, dst, seq, fn] { on_data_arrival(src, dst, seq, fn); });
   arm_timer(key, attempt + 1);
 }
 
@@ -193,7 +178,6 @@ void Transport::maybe_suspect(ProcId src, ProcId dst, Cycles now) {
 }
 
 void Transport::on_data_arrival(ProcId src, ProcId dst, std::uint32_t seq,
-                                bool exclusive,
                                 std::shared_ptr<sim::Engine::EventFn> fn) {
   if (plane_.crashed(dst, engine_.now())) {
     // A crashed NIC refuses the copy and sends no ack; the sender's
@@ -203,17 +187,8 @@ void Transport::on_data_arrival(ProcId src, ProcId dst, std::uint32_t seq,
   }
   if (plane_.paused(dst, engine_.now())) {
     ++stats_for(dst).paused_deliveries;
-    const Cycles resume_at = plane_.pause_end(dst, engine_.now());
-    // The retry must keep running solo, or a held exclusive handler could be
-    // released from a concurrent event after the pause lifts.
-    auto retry = [this, src, dst, seq, exclusive, fn] {
-      on_data_arrival(src, dst, seq, exclusive, fn);
-    };
-    if (exclusive) {
-      engine_.schedule_exclusive(resume_at, std::move(retry));
-    } else {
-      engine_.schedule(resume_at, std::move(retry));
-    }
+    engine_.schedule(plane_.pause_end(dst, engine_.now()),
+                     [this, src, dst, seq, fn] { on_data_arrival(src, dst, seq, fn); });
     return;
   }
   const std::size_t ch = channel(src, dst);

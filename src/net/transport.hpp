@@ -49,20 +49,7 @@ class Transport {
   /// Reliable send: `deliver` runs exactly once at the destination, in
   /// per-channel send order, regardless of injected faults. Self-messages
   /// and the disabled transport go straight to the mesh.
-  ///
-  /// `exclusive` marks the delivery (and every retransmitted copy of it) as
-  /// an exclusive event under the parallel engine; sequential runs ignore it.
-  void send(ProcId src, ProcId dst, std::size_t bytes, sim::Engine::EventFn deliver,
-            bool exclusive = false);
-
-  /// Register, at startup before any traffic, a destination whose reliable
-  /// deliveries must all run exclusively when faults are enabled. Needed
-  /// because the receive channels release held out-of-order handlers inline
-  /// inside whichever carrier fills the gap: if any message to `dst` is
-  /// exclusive, every reliable carrier that could release it must run solo
-  /// too, and copies already in flight cannot be flagged after the fact.
-  /// No effect with faults disabled or under the sequential engine.
-  void mark_exclusive_dst(ProcId dst);
+  void send(ProcId src, ProcId dst, std::size_t bytes, sim::Engine::EventFn deliver);
 
   /// Best-effort send: the copy may be dropped, duplicated, delayed or
   /// reordered; the receiver's handler must tolerate all of that.
@@ -74,8 +61,8 @@ class Transport {
 
   /// Counter shard owned by `node`. Every transport event executes at a
   /// well-defined node (sends and retransmit timers at the source,
-  /// arrival-side bookkeeping at the destination), so in parallel engine
-  /// mode each shard is only ever touched by that node's worker.
+  /// arrival-side bookkeeping at the destination), and counts into that
+  /// node's shard.
   TransportStats& stats_for(ProcId node) {
     return stats_[static_cast<std::size_t>(node)];
   }
@@ -119,7 +106,6 @@ class Transport {
     std::size_t bytes = 0;
     std::uint32_t seq = 0;
     int attempt = 0;  ///< copies injected so far minus one
-    bool exclusive = false;
     std::shared_ptr<sim::Engine::EventFn> deliver;
   };
 
@@ -133,13 +119,12 @@ class Transport {
 
   /// Put one copy of a message on the mesh after a fault decision; `fn`
   /// must be pause- and dedup-checked by the closure itself.
-  void inject_copy(ProcId src, ProcId dst, std::size_t bytes, bool exclusive,
-                   sim::Engine::EventFn fn);
+  void inject_copy(ProcId src, ProcId dst, std::size_t bytes, sim::Engine::EventFn fn);
 
   void arm_timer(std::uint64_t key, int attempt);
   void timer_fire(std::uint64_t key, int attempt);
   void maybe_suspect(ProcId src, ProcId dst, Cycles now);
-  void on_data_arrival(ProcId src, ProcId dst, std::uint32_t seq, bool exclusive,
+  void on_data_arrival(ProcId src, ProcId dst, std::uint32_t seq,
                        std::shared_ptr<sim::Engine::EventFn> fn);
   void send_ack(ProcId from, ProcId to, std::uint64_t key);
 
@@ -164,7 +149,6 @@ class Transport {
   std::vector<std::unordered_map<std::uint64_t, Pending>> pending_;
   std::vector<TransportStats> stats_;
   std::vector<RecoveryStats> rstats_;
-  std::vector<char> excl_dst_;  ///< per-dst: all reliable deliveries exclusive
   /// Per-source memo of already-suspected (dst -> crash window end) pairs, so
   /// one crash window raises at most one suspicion per directed channel.
   /// Sharded by source like pending_ (timer events execute at the source).

@@ -49,14 +49,10 @@ std::size_t PolicyEngine::trace_word() {
 
 void PolicyEngine::send_from_app(ProcId to, std::size_t bytes, Cycles svc_cost,
                                  std::function<void()> handler,
-                                 sim::Bucket bucket, bool exclusive) {
+                                 sim::Bucket bucket) {
   proc().advance(m_.params().message_overhead, bucket);
   proc().sync();
-  if (exclusive) {
-    m_.post_exclusive(self_, to, bytes, svc_cost, std::move(handler));
-  } else {
-    m_.post(self_, to, bytes, svc_cost, std::move(handler));
-  }
+  m_.post(self_, to, bytes, svc_cost, std::move(handler));
 }
 
 void PolicyEngine::post_dynamic(ProcId from, ProcId to, std::size_t bytes,
@@ -194,9 +190,7 @@ void PolicyEngine::clear_mgr_op_by_serial(LockId l, std::uint64_t serial) {
 }
 
 void PolicyEngine::on_peer_suspect(ProcId peer) {
-  // Timer context at this node: only node-local state (the op registry) and
-  // concurrent-read-safe state (the manager override table) may be touched.
-  // The election itself runs in an exclusive self-event.
+  // Timer context at this node. The election itself runs in a self-event.
   AECDSM_DEBUG("p" << self_ << " suspects p" << peer << " (" << mgr_ops_.size()
                    << " pending ops)");
   std::vector<LockId> locks;
@@ -207,16 +201,14 @@ void PolicyEngine::on_peer_suspect(ProcId peer) {
     locks.push_back(op.lock);
   }
   for (const LockId l : locks) {
-    m_.post_exclusive(self_, self_, kCtl,
-                      m_.params().list_processing_per_elem * 4,
-                      [this, l, peer] { begin_failover(l, peer); });
+    m_.post(self_, self_, kCtl, m_.params().list_processing_per_elem * 4,
+            [this, l, peer] { begin_failover(l, peer); });
   }
 }
 
 void PolicyEngine::on_recover() {
-  // Engine-side at the recovered node. Re-reads the shared override table
-  // (concurrent-read-safe: writes happen only in exclusive events) so ops
-  // aimed at this node's own pre-crash managership chase the re-elected
+  // Engine-side at the recovered node. Re-reads the shared override table so
+  // ops aimed at this node's own pre-crash managership chase the re-elected
   // manager; the one-hop bounce in the manager handlers covers elections
   // that land after this replay.
   for (auto& [id, op] : mgr_ops_) {
@@ -230,7 +222,6 @@ void PolicyEngine::on_recover() {
 }
 
 void PolicyEngine::begin_failover(LockId l, ProcId crashed) {
-  // Exclusive event: the machine is quiescent, cross-node reads are safe.
   if (m_.lock_manager(l) != crashed) return;  // a peer already failed it over
   const Cycles now = m_.engine().now();
   net::FaultPlane& plane = m_.transport().plane();
@@ -251,15 +242,14 @@ void PolicyEngine::begin_failover(LockId l, ProcId crashed) {
                 "lock", static_cast<std::uint64_t>(l), "crashed",
                 static_cast<std::uint64_t>(crashed));
   }
-  m_.post_exclusive(self_, successor, kCtl,
-                    m_.params().list_processing_per_elem * 4,
-                    [this, l, crashed, successor] {
-                      peer_engine(successor).handle_failover_request(l, crashed);
-                    });
+  m_.post(self_, successor, kCtl, m_.params().list_processing_per_elem * 4,
+          [this, l, crashed, successor] {
+            peer_engine(successor).handle_failover_request(l, crashed);
+          });
 }
 
 void PolicyEngine::handle_failover_request(LockId l, ProcId crashed) {
-  // Exclusive event at the elected successor.
+  // Runs at the elected successor.
   if (m_.lock_manager(l) != crashed) return;  // duplicate election
   const Cycles now = m_.engine().now();
   net::FaultPlane& plane = m_.transport().plane();

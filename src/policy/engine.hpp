@@ -90,13 +90,9 @@ class PolicyEngine : public dsm::Protocol {
   mem::PageStore& store() { return *m_.node(self_).store; }
 
   /// Post a message whose service cost is known now; the calling app thread
-  /// pays the send overhead in `bucket` before the post. `exclusive` routes
-  /// through Machine::post_exclusive: the handler runs as an exclusive event
-  /// under the parallel engine (required when it mutates state owned by
-  /// other nodes, e.g. a barrier completion).
+  /// pays the send overhead in `bucket` before the post.
   void send_from_app(ProcId to, std::size_t bytes, Cycles svc_cost,
-                     std::function<void()> handler, sim::Bucket bucket,
-                     bool exclusive = false);
+                     std::function<void()> handler, sim::Bucket bucket);
 
   /// Post a message whose service cost is computed engine-side at delivery
   /// (the serve lambda runs at the receiver and returns its cost).
@@ -182,12 +178,12 @@ class PolicyEngine : public dsm::Protocol {
     return *static_cast<PolicyEngine*>(m_.node(p).protocol.get());
   }
 
-  /// Exclusive self-event: elect a successor for `l` whose manager
-  /// `crashed` is suspected, and post it the failover request.
+  /// Self-event: elect a successor for `l` whose manager `crashed` is
+  /// suspected, and post it the failover request.
   void begin_failover(LockId l, ProcId crashed);
 
-  /// Exclusive event at the elected successor: install the override, migrate
-  /// custody, and broadcast the manager change to every live node.
+  /// At the elected successor: install the override, migrate custody, and
+  /// broadcast the manager change to every live node.
   void handle_failover_request(LockId l, ProcId crashed);
 
   /// At each node: re-aim pending ops for `l` at the new manager and replay
@@ -196,7 +192,7 @@ class PolicyEngine : public dsm::Protocol {
 
   /// Protocol-specific election input: nodes known to share lock `l`'s
   /// state (owner, diff custodians, ...). The suspecter itself is always a
-  /// candidate. Runs inside an exclusive event — cross-node reads are safe.
+  /// candidate.
   virtual std::vector<ProcId> lock_sharers(LockId l, ProcId crashed) {
     (void)l;
     (void)crashed;
@@ -206,7 +202,6 @@ class PolicyEngine : public dsm::Protocol {
   /// Protocol-specific custody migration: move lock `l`'s record between
   /// the shard maps of `from` and `to` and reset manager-soft state (the
   /// waiting/virtual queues; affinity history and diff custody survive).
-  /// Runs inside an exclusive event.
   virtual void migrate_lock_state(LockId l, ProcId from, ProcId to) {
     (void)l;
     (void)from;

@@ -69,8 +69,7 @@ struct TmShared {
 
   /// Manager-side owner hints (start: manager grants first requester),
   /// sharded by manager node (lock % nprocs): every hint access runs as a
-  /// service on the lock's manager, so under the parallel engine each shard
-  /// — including its lazy insertions — belongs to one node's worker.
+  /// service on the lock's manager.
   std::vector<std::map<LockId, ProcId>> owner_hint;
 
   std::map<LockId, ProcId>& hint_shard(LockId l) {
@@ -85,8 +84,7 @@ struct TmShared {
     return owner_hint[static_cast<std::size_t>(mgr)];
   }
 
-  /// Crash failover: move the owner hint between manager shards
-  /// (exclusive-event only).
+  /// Crash failover: move the owner hint between manager shards.
   void migrate_hint(LockId l, ProcId from, ProcId to) {
     auto node = owner_hint[static_cast<std::size_t>(from)].extract(l);
     if (!node.empty()) owner_hint[static_cast<std::size_t>(to)].insert(std::move(node));
@@ -106,10 +104,7 @@ struct TmShared {
   } barrier;
 
   /// Scoring-only LAP instances (paper §5.1: LAP accuracy under TreadMarks).
-  /// Mutated by events at the manager *and* the current owner, so every
-  /// write goes through Engine::at_commit: under the parallel engine the
-  /// mutations apply serially at replay, in sequential event order, and the
-  /// map (including lazy insertion) is never touched concurrently.
+  /// Mutated by events at the manager *and* the current owner.
   std::map<LockId, policy::LockLap> lap;
 
   policy::LockLap& lap_of(LockId l) { return policy::scoring_lap(lap, params, l); }
@@ -139,8 +134,7 @@ class TmProtocol : public policy::PolicyEngine {
   /// for conflicting words (concurrent diffs touch disjoint words in
   /// data-race-free programs). The tag is therefore (creation time, node,
   /// per-node counter): any refinement of time order works, and this one
-  /// needs no cross-node counter, so every node mints identical tags under
-  /// the sequential and the parallel engine. Per-page vector-time tags are
+  /// needs no cross-node counter. Per-page vector-time tags are
   /// NOT sound here: a page shared by several locks can carry concurrent
   /// intervals whose clock sums tie or invert relative to a single word's
   /// chain.
@@ -222,7 +216,7 @@ class TmProtocol : public policy::PolicyEngine {
   // dedup serial the eventual grant echoes (0 crash-free); `mgr_at` on the
   // manager handlers is the node the message was addressed to — when a
   // crash failover re-elected the hint manager meanwhile, the handler
-  // forwards one hop instead of touching a shard another worker owns.
+  // forwards one hop instead of touching a shard another node owns.
   void mgr_route_request(LockId l, ProcId requester,
                          std::shared_ptr<VectorTime> req_vt,
                          std::uint64_t serial, ProcId mgr_at);

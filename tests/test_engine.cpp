@@ -2,9 +2,12 @@
 // model: event ordering, time monotonicity, quantum syncing, blocking,
 // service accounting, and the cycle-conservation invariant.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -131,6 +134,66 @@ TEST(CoThread, YieldHandshake) {
 TEST(CoThread, ExceptionPropagatesToEngine) {
   sim::CoThread t([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(t.resume(), std::runtime_error);
+}
+
+TEST(CoThread, DestroyedBeforeFirstResumeNeverRunsBody) {
+  bool ran = false;
+  { sim::CoThread t([&] { ran = true; }); }
+  EXPECT_FALSE(ran);
+}
+
+TEST(CoThread, ThrowAfterYieldRethrowsFromSecondResume) {
+  sim::CoThread* self = nullptr;
+  sim::CoThread t([&] {
+    self->yield_to_engine();
+    throw std::runtime_error("after yield");
+  });
+  self = &t;
+  t.resume();
+  EXPECT_FALSE(t.finished());
+  EXPECT_THROW(t.resume(), std::runtime_error);
+  EXPECT_TRUE(t.finished());
+}
+
+/// Recurses until the stack runs out. Each frame hands its buffer to the
+/// callee, so every frame stays live (no tail call), and the buffer is far
+/// smaller than a page, so the descent touches every page on the way down
+/// and cannot step over the guard page.
+std::size_t burn_stack(volatile char* caller, std::size_t depth) {
+  volatile char frame[512];
+  frame[0] = caller[0];
+  frame[1] = caller[1];
+  if (depth == 0) return static_cast<std::size_t>(frame[0]);
+  return burn_stack(frame, depth - 1) + static_cast<std::size_t>(frame[1]);
+}
+
+void overflow_a_cothread() {
+  volatile char seed[2] = {1, 2};
+  sim::CoThread t([&] { burn_stack(seed, sim::CoThread::kStackBytes); });
+  // Mapped after `t`, so it typically lands right below t's guard page:
+  // without the guard, the overflow would scribble over its stack.
+  sim::CoThread neighbour([] {});
+  t.resume();
+}
+
+/// Writes one byte just below the running cothread's stack. The body's
+/// first frame sits in the top page of the stack, so the stack ends at the
+/// end of that page and starts kStackBytes below.
+void touch_below_the_stack() {
+  sim::CoThread t([] {
+    char local = 0;
+    const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+    const std::uintptr_t top = (reinterpret_cast<std::uintptr_t>(&local) & ~(page - 1)) + page;
+    *reinterpret_cast<volatile char*>(top - sim::CoThread::kStackBytes - 1) = local;
+  });
+  t.resume();
+}
+
+TEST(CoThreadDeathTest, StackOverflowDiesOnTheGuardPage) {
+  EXPECT_DEATH(overflow_a_cothread(), "");
+  // The overflow dies on the page right below the stack, not in whatever
+  // mapping comes next: that page faults on the first touch.
+  EXPECT_DEATH(touch_below_the_stack(), "");
 }
 
 TEST(CoThread, DestructorCancelsSuspendedBody) {

@@ -36,6 +36,44 @@ TEST(FailureModes, DeadlockIsDetectedAndReported) {
   }
 }
 
+TEST(FailureModes, BodyErrorUnwindsEveryOtherNode) {
+  // Node 2 throws while the others are suspended at a barrier. The error
+  // must reach run_app's caller, and tearing the machine down must unwind
+  // every other body (the RAII counter returns to zero), so no cothread
+  // stack is leaked.
+  int live = 0;
+  int at_barrier = 0;
+  int at_barrier_when_thrown = -1;
+  struct Live {
+    int* n;
+    explicit Live(int* count) : n(count) { ++*n; }
+    ~Live() { --*n; }
+  };
+  LambdaApp app(
+      "throw-at-barrier", 4096, [](dsm::Machine& m) { m.alloc_shared(64); },
+      [&](dsm::Context& ctx) {
+        const Live guard(&live);
+        if (ctx.pid() == 2) {
+          ctx.compute(100000);  // the others reach the barrier meanwhile
+          at_barrier_when_thrown = at_barrier;
+          AECDSM_CHECK_MSG(false, "node 2 failed");
+        }
+        ++at_barrier;
+        ctx.barrier();
+      });
+  aec::AecSuite suite;
+  dsm::RunConfig cfg;
+  cfg.params = small_params(4);
+  try {
+    dsm::run_app(app, suite.suite(), cfg);
+    FAIL() << "body error swallowed";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("node 2 failed"), std::string::npos);
+  }
+  EXPECT_EQ(at_barrier_when_thrown, 3);
+  EXPECT_EQ(live, 0);
+}
+
 TEST(FailureModes, SharedArrayBoundsChecked) {
   SystemParams params = small_params();
   dsm::Machine m(params, 1 << 14);

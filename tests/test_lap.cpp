@@ -3,12 +3,12 @@
 // algorithm of §2.2 step by step, and the success-rate scoring.
 #include <gtest/gtest.h>
 
-#include "aec/lap.hpp"
+#include "policy/lap.hpp"
 
 namespace aecdsm::test {
 namespace {
 
-using aec::LockLap;
+using policy::LockLap;
 
 constexpr int kProcs = 8;
 constexpr int kK = 2;

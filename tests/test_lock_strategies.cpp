@@ -1,21 +1,19 @@
 // End-to-end suite for the non-default lock-manager strategies (src/locks,
 // DESIGN.md §13): mcs and hier must preserve every correctness contract the
 // central manager satisfies — synthetic-corpus oracles under every policy
-// preset, byte-identical parallel-engine runs, the paper applications, and
-// lock-manager failover under fail-stop crashes — while exhibiting the
-// behaviors they exist for: direct releaser->successor handoffs (mcs, with
-// throughput matching the Aksenov closed-form model) and reduced
-// cross-quadrant handoffs on large meshes (hier).
+// preset, the paper applications, and lock-manager failover under fail-stop
+// crashes — while exhibiting the behaviors they exist for: direct
+// releaser->successor handoffs (mcs, with throughput matching the Aksenov
+// closed-form model) and reduced cross-quadrant handoffs on large meshes
+// (hier).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/registry.hpp"
 #include "dsm/shared_array.hpp"
-#include "harness/json_out.hpp"
 #include "harness/runner.hpp"
 #include "locks/model.hpp"
 #include "policy/policy.hpp"
@@ -28,16 +26,6 @@ SystemParams strategy_params(int nprocs, const std::string& strategy) {
   SystemParams p = small_params(nprocs);
   p.locks.strategy = strategy;
   return p;
-}
-
-std::string result_fingerprint(const harness::ExperimentResult& r) {
-  std::ostringstream os;
-  os << harness::to_json(r.stats).dump();
-  for (const auto& [lock, s] : r.lap_scores) {
-    os << "|" << lock << ":" << s.acquire_events << "," << s.lap.predictions
-       << "," << s.lap.hits;
-  }
-  return os.str();
 }
 
 // ------------------------------------------------- corpus x preset conformance
@@ -63,22 +51,13 @@ struct StrategyCase {
 
 class StrategyConformance : public ::testing::TestWithParam<StrategyCase> {};
 
-TEST_P(StrategyConformance, OracleHoldsAndEngineThreadsAreByteIdentical) {
+TEST_P(StrategyConformance, OracleHolds) {
   const auto& [spec, policy, strategy] = GetParam();
   const SystemParams params = strategy_params(4, strategy);
   const auto seq = harness::run_experiment(policy, spec, apps::Scale::kSmall,
                                            params, /*seed=*/7);
   ASSERT_TRUE(seq.stats.result_valid)
       << spec << " under " << policy << "/" << strategy;
-  const auto par = harness::run_experiment(policy, spec, apps::Scale::kSmall,
-                                           params, /*seed=*/7,
-                                           /*wall_timeout_sec=*/0.0,
-                                           /*recorder=*/nullptr,
-                                           /*engine_threads=*/4);
-  EXPECT_TRUE(par.stats.result_valid);
-  EXPECT_EQ(result_fingerprint(par), result_fingerprint(seq))
-      << spec << " under " << policy << "/" << strategy
-      << " diverges on 4 engine threads";
   // The strategy machinery lives in the AEC and ERC lock managers;
   // TreadMarks uses its own distributed-owner locks and ignores the knob.
   if (policy != "TreadMarks") {

@@ -1,16 +1,21 @@
-// The parallel engine's whole contract is byte-identity: a run with
-// --engine-threads N must be indistinguishable from the sequential engine in
-// every artifact — RunStats to the last field, LAP scores, event counts.
-// This suite sweeps sequential vs {2, 4, 8} worker threads across every
-// registered policy preset, every registered app, and fault-plane
-// configurations exercising both transport paths.
+// Cell-level parallelism (--jobs) is the simulator's only host concurrency:
+// BatchRunner runs independent cells on worker threads, and each cell's
+// simulated processors run as fibers on the worker thread that owns the
+// cell. The contract is byte-identity: a cell simulated on a worker thread,
+// while other workers simulate their own cells, must be indistinguishable
+// from the same cell run alone on the calling thread — RunStats to the last
+// field, LAP scores, event counts. This suite sweeps {2, 4, 8} concurrent
+// workers across every registered policy preset, every registered app, and
+// fault-plane configurations exercising both transport paths.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/registry.hpp"
+#include "harness/batch.hpp"
 #include "harness/json_out.hpp"
 #include "harness/runner.hpp"
 #include "policy/policy.hpp"
@@ -34,20 +39,40 @@ std::string fingerprint(const harness::ExperimentResult& r) {
   return os.str();
 }
 
+/// Simulate `copies` copies of one cell at once, one per worker thread,
+/// with the cell cache off so every copy really runs.
+std::vector<harness::ExperimentResult> run_concurrently(
+    const std::string& protocol, const std::string& app,
+    const SystemParams& params, std::uint64_t seed, int copies, int jobs) {
+  harness::ExperimentPlan plan;
+  plan.name = "parallel_determinism";
+  for (int i = 0; i < copies; ++i) {
+    plan.add(protocol, app, apps::Scale::kSmall, params, seed);
+  }
+  harness::BatchOptions opts;
+  opts.jobs = jobs;
+  opts.no_cache = true;
+  harness::BatchRunner runner(opts);
+  return runner.run(plan);
+}
+
 void expect_parallel_matches_sequential(const std::string& protocol,
                                         const std::string& app,
                                         const SystemParams& params,
                                         std::uint64_t seed) {
   const auto seq = harness::run_experiment(protocol, app, apps::Scale::kSmall,
                                            params, seed);
+  ASSERT_TRUE(seq.stats.result_valid) << protocol << "/" << app;
   const std::string want = fingerprint(seq);
   for (int threads : kThreadSweep) {
-    const auto par = harness::run_experiment(protocol, app, apps::Scale::kSmall,
-                                             params, seed,
-                                             /*wall_timeout_sec=*/0.0,
-                                             /*recorder=*/nullptr, threads);
-    EXPECT_EQ(fingerprint(par), want)
-        << protocol << "/" << app << " with " << threads << " engine threads";
+    const auto par =
+        run_concurrently(protocol, app, params, seed, threads, threads);
+    ASSERT_EQ(par.size(), static_cast<std::size_t>(threads));
+    for (std::size_t i = 0; i < par.size(); ++i) {
+      EXPECT_EQ(fingerprint(par[i]), want)
+          << protocol << "/" << app << ": copy " << i << " of " << threads
+          << " concurrent workers";
+    }
   }
 }
 
@@ -55,6 +80,8 @@ struct Cell {
   std::string protocol;
   std::string app;
 };
+
+void PrintTo(const Cell& c, std::ostream* os) { *os << c.protocol << "/" << c.app; }
 
 class ParallelDeterminism : public ::testing::TestWithParam<Cell> {};
 
@@ -73,14 +100,17 @@ std::vector<Cell> all_cells() {
   return cells;
 }
 
+std::string test_name(std::string s) {
+  for (char& ch : s) {
+    if (!(std::isalnum(static_cast<unsigned char>(ch)))) ch = '_';
+  }
+  return s;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ParallelDeterminism, ::testing::ValuesIn(all_cells()),
     [](const ::testing::TestParamInfo<Cell>& info) {
-      std::string s = info.param.protocol + "_" + info.param.app;
-      for (char& ch : s) {
-        if (!(std::isalnum(static_cast<unsigned char>(ch)))) ch = '_';
-      }
-      return s;
+      return test_name(info.param.protocol + "_" + info.param.app);
     });
 
 // Fault planes drive the reliable transport (retransmission timers, acks,
@@ -111,12 +141,12 @@ TEST(ParallelDeterminismFaults, MultiplePauseWindows) {
   expect_parallel_matches_sequential("AEC", "IS", p, 42);
 }
 
-// Fail-stop crash + failover is the newest and most tie-heavy event mix:
-// NIC drops, deferred retransmit timers, suspect verdicts, exclusive
-// failover/re-election events, and request replay all have to land
-// byte-identically under every worker count. Water-ns spreads 65 locks
-// over all 8 manager nodes, so a mid-run crash of node 3 takes down live
-// lock managers with requests pending in every preset.
+// Fail-stop crash + failover is the most tie-heavy event mix: NIC drops,
+// deferred retransmit timers, suspect verdicts, failover/re-election events
+// and request replay. It also parks fibers for long stretches behind crash
+// holds while other workers' fibers keep switching. Water-ns spreads 65
+// locks over all 8 manager nodes, so a mid-run crash of node 3 takes down
+// live lock managers with requests pending in every preset.
 class ParallelDeterminismCrash
     : public ::testing::TestWithParam<std::string> {};
 
@@ -133,42 +163,53 @@ INSTANTIATE_TEST_SUITE_P(
     Presets, ParallelDeterminismCrash,
     ::testing::ValuesIn(policy::registered_names()),
     [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string s = info.param;
-      for (char& ch : s) {
-        if (!(std::isalnum(static_cast<unsigned char>(ch)))) ch = '_';
-      }
-      return s;
+      return test_name(info.param);
     });
 
-// Different seeds shift every event time; the lookahead argument must hold
-// for all of them, not just the default.
+// Different seeds shift every event time; byte-identity must hold for all
+// of them, not just the default.
 TEST(ParallelDeterminismSeeds, SeedSweep) {
   for (std::uint64_t seed : {7u, 1234u}) {
     expect_parallel_matches_sequential("AEC", "Raytrace", small_params(8), seed);
   }
 }
 
-// More threads than nodes must clamp, not break.
-TEST(ParallelDeterminismShape, MoreThreadsThanNodes) {
+// Asking for more workers than there are cells must clamp the pool, not
+// change a result.
+TEST(ParallelDeterminismShape, MoreThreadsThanCells) {
   const SystemParams p = small_params(4);
   const auto seq =
       harness::run_experiment("AEC", "IS", apps::Scale::kSmall, p, 42);
-  const auto par =
-      harness::run_experiment("AEC", "IS", apps::Scale::kSmall, p, 42, 0.0,
-                              nullptr, /*engine_threads=*/16);
-  EXPECT_EQ(fingerprint(par), fingerprint(seq));
+  const auto par = run_concurrently("AEC", "IS", p, 42, /*copies=*/2,
+                                    /*jobs=*/16);
+  ASSERT_EQ(par.size(), 2u);
+  for (const auto& r : par) EXPECT_EQ(fingerprint(r), fingerprint(seq));
 }
 
-// The parallel engine replays the sequential seq numbering, so the events
-// processed counter — which feeds batch telemetry — must agree exactly.
+// The events-processed counter feeds batch telemetry: every concurrent copy
+// must report the sequential count, and the batch total must be their sum.
 TEST(ParallelDeterminismShape, EventCountMatchesSequential) {
   const SystemParams p = small_params(8);
   const auto seq =
       harness::run_experiment("TreadMarks", "IS", apps::Scale::kSmall, p, 42);
-  const auto par = harness::run_experiment("TreadMarks", "IS",
-                                           apps::Scale::kSmall, p, 42, 0.0,
-                                           nullptr, 4);
-  EXPECT_EQ(seq.stats.engine_events, par.stats.engine_events);
+  ASSERT_GT(seq.stats.engine_events, 0u);
+
+  harness::ExperimentPlan plan;
+  plan.name = "parallel_events";
+  for (int i = 0; i < 4; ++i) {
+    plan.add("TreadMarks", "IS", apps::Scale::kSmall, p, 42);
+  }
+  harness::BatchOptions opts;
+  opts.jobs = 4;
+  opts.no_cache = true;
+  harness::BatchRunner runner(opts);
+  const auto par = runner.run(plan);
+  for (const auto& r : par) {
+    EXPECT_EQ(r.stats.engine_events, seq.stats.engine_events);
+  }
+  EXPECT_EQ(runner.last_run_info().simulated, 4u);
+  EXPECT_EQ(runner.last_run_info().engine_events,
+            4 * seq.stats.engine_events);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
 // Conformance suite for the `syn:` workload grammar: every generated
 // workload in the test corpus must pass its embedded sequential oracle
-// under every registered policy preset, byte-identically on the sequential
-// and the 4-thread parallel engine. Plus the harness integration contracts:
+// under every registered policy preset. Plus the harness integration contracts:
 // spec spellings alias one cell-cache entry, and warm batch runs reproduce
 // cold artifacts byte for byte.
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,7 +13,6 @@
 #include "apps/synthetic/workload.hpp"
 #include "harness/batch.hpp"
 #include "harness/cellcache.hpp"
-#include "harness/json_out.hpp"
 #include "harness/runner.hpp"
 #include "policy/policy.hpp"
 #include "tests/test_util.hpp"
@@ -37,18 +34,6 @@ std::vector<std::string> test_corpus() {
   };
 }
 
-/// Full serialization of everything a cell produces (the byte-identity
-/// contract's unit of comparison).
-std::string result_fingerprint(const harness::ExperimentResult& r) {
-  std::ostringstream os;
-  os << harness::to_json(r.stats).dump();
-  for (const auto& [lock, s] : r.lap_scores) {
-    os << "|" << lock << ":" << s.acquire_events << "," << s.lap.predictions
-       << "," << s.lap.hits;
-  }
-  return os.str();
-}
-
 struct ConformanceCase {
   std::string spec;
   std::string policy;
@@ -56,23 +41,13 @@ struct ConformanceCase {
 
 class WorkloadConformance : public ::testing::TestWithParam<ConformanceCase> {};
 
-TEST_P(WorkloadConformance, OracleHoldsAndEngineThreadsAreByteIdentical) {
+TEST_P(WorkloadConformance, OracleHolds) {
   const auto& [spec, policy] = GetParam();
-  const SystemParams params = small_params(4);
   const auto seq = harness::run_experiment(policy, spec, apps::Scale::kSmall,
-                                           params, /*seed=*/7);
+                                           small_params(4), /*seed=*/7);
   EXPECT_TRUE(seq.stats.result_valid) << spec << " under " << policy;
   EXPECT_EQ(seq.stats.app,
             apps::synthetic::WorkloadSpec::parse(spec).fingerprint());
-
-  const auto par = harness::run_experiment(policy, spec, apps::Scale::kSmall,
-                                           params, /*seed=*/7,
-                                           /*wall_timeout_sec=*/0.0,
-                                           /*recorder=*/nullptr,
-                                           /*engine_threads=*/4);
-  EXPECT_TRUE(par.stats.result_valid) << spec << " under " << policy;
-  EXPECT_EQ(result_fingerprint(par), result_fingerprint(seq))
-      << spec << " under " << policy << " diverges on 4 engine threads";
 }
 
 std::vector<ConformanceCase> conformance_cases() {
@@ -137,9 +112,8 @@ std::string fresh_cache_dir(const std::string& tag) {
 }
 
 // A warm batch over spec-named cells must simulate nothing and reproduce
-// the cold artifact byte for byte — even when the warm runner uses the
-// parallel engine (engine_threads is deliberately not part of the key).
-TEST(WorkloadCache, WarmBatchIsByteIdenticalAcrossEngineThreads) {
+// the cold artifact byte for byte.
+TEST(WorkloadCache, WarmBatchIsByteIdenticalToCold) {
   harness::ExperimentPlan plan;
   plan.name = "workloads-test";
   for (const char* spec :
@@ -157,9 +131,7 @@ TEST(WorkloadCache, WarmBatchIsByteIdenticalAcrossEngineThreads) {
   const auto cold_results = cold.run(plan);
   EXPECT_EQ(cold.last_run_info().simulated, plan.cells.size());
 
-  harness::BatchOptions warm_opts = cold_opts;
-  warm_opts.engine_threads = 4;
-  harness::BatchRunner warm(warm_opts);
+  harness::BatchRunner warm(cold_opts);
   const auto warm_results = warm.run(plan);
   EXPECT_EQ(warm.last_run_info().cache_hits, plan.cells.size());
   EXPECT_EQ(warm.last_run_info().simulated, 0u);
